@@ -29,7 +29,7 @@
 // (DESIGN.md §16).
 //
 // Checkpointing (DESIGN.md §18): with -parallel 1, -ckpt-every N writes an
-// hmtx-ckpt/v1 suite checkpoint to -ckpt-out after every N completed
+// hmtx-ckpt/v2 suite checkpoint to -ckpt-out after every N completed
 // (benchmark, mode) units; -ckpt-halt stops the suite at the first
 // checkpoint, and -resume continues it, re-running only the remaining units.
 // Because every unit owns its own simulated machine, a resumed suite's
@@ -69,12 +69,26 @@ func main() {
 	conflictsOut := flag.String("conflicts", "", "record abort edges and write the hmtx-conflicts/v1 document to this file")
 	histOut := flag.String("hist", "", "collect latency histograms and write the hmtx-hist/v1 document to this file")
 	ckptEvery := flag.Int("ckpt-every", 0, "checkpoint after every N completed (benchmark, mode) units (0 = off; requires -parallel 1)")
-	ckptOut := flag.String("ckpt-out", "", "write an hmtx-ckpt/v1 suite checkpoint to this file at each checkpoint")
+	ckptOut := flag.String("ckpt-out", "", "write an hmtx-ckpt/v2 suite checkpoint to this file at each checkpoint")
 	ckptHalt := flag.Bool("ckpt-halt", false, "halt the suite at the first checkpoint (after writing -ckpt-out)")
-	resume := flag.String("resume", "", "resume a halted suite from an hmtx-ckpt/v1 checkpoint file")
+	resume := flag.String("resume", "", "resume a halted suite from an hmtx-ckpt/v2 checkpoint file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
+
+	metricsOn := *seriesOut != "" || *conflictsOut != "" || *histOut != ""
+	cfg := experiments.Config{
+		Scale: *scale, Cores: *cores, Parallelism: *parallel,
+		Profile: *profOut != "",
+		Metrics: metricsOn, MetricsWindow: *seriesWindow,
+		Domains: *domains,
+	}
+	if err := cfg.Validate(); err != nil {
+		// A bad flag is a usage error: one line and exit status 2, as the
+		// flag package reports unknown flags.
+		log.Print(err)
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -102,13 +116,6 @@ func main() {
 		}()
 	}
 
-	metricsOn := *seriesOut != "" || *conflictsOut != "" || *histOut != ""
-	cfg := experiments.Config{
-		Scale: *scale, Cores: *cores, Parallelism: *parallel,
-		Profile: *profOut != "",
-		Metrics: metricsOn, MetricsWindow: *seriesWindow,
-		Domains: *domains,
-	}
 	want := map[string]bool{}
 	for _, k := range strings.Split(*only, ",") {
 		if k = strings.TrimSpace(k); k != "" {

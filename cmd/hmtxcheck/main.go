@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.MaxDepth, "max-depth", 0, "BFS depth cap (0 = unbounded)")
 	fs.StringVar(&cfg.InjectBug, "inject", "", "re-introduce a fixed protocol bug (memsys.Bug* name) to validate the checker")
 	jsonOut := fs.String("json", "", "also write the summary as JSON to this file")
-	ckptOut := fs.String("emit-ckpt", "", "on a violation, write the counterexample as an hmtx-ckpt/v1 checkpoint (openable with hmtxdbg) to this file")
+	ckptOut := fs.String("emit-ckpt", "", "on a violation, write the counterexample as an hmtx-ckpt/v2 checkpoint (openable with hmtxdbg) to this file")
 	quiet := fs.Bool("q", false, "suppress the text report (exit status still reflects the verdict)")
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -1,4 +1,4 @@
-// Command hmtxdbg is the time-travel debugger for hmtx-ckpt/v1 checkpoints
+// Command hmtxdbg is the time-travel debugger for hmtx-ckpt/v2 checkpoints
 // (DESIGN.md §18): it re-materialises any simulated instant of a checkpointed
 // run by deterministic re-execution, and steps through model-checker
 // counterexamples stimulus by stimulus.

@@ -172,7 +172,7 @@ func TestDiff(t *testing.T) {
 	// A checkpoint is not a metric document: the diff must refuse it and
 	// point at hmtxdbg rather than report an unknown schema.
 	kp := filepath.Join(dir, "ckpt.json")
-	if err := os.WriteFile(kp, []byte(`{"schema": "hmtx-ckpt/v1", "kind": "run"}`+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(kp, []byte(`{"schema": "hmtx-ckpt/v2", "kind": "run"}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	stdout.Reset()
@@ -180,7 +180,7 @@ func TestDiff(t *testing.T) {
 	if code := run([]string{"diff", kp, kp}, &stdout, &stderr); code != 1 {
 		t.Fatalf("ckpt diff: exit %d, want 1", code)
 	}
-	if msg := stderr.String(); !strings.Contains(msg, "hmtxdbg") || !strings.Contains(msg, "hmtx-ckpt/v1") {
+	if msg := stderr.String(); !strings.Contains(msg, "hmtxdbg") || !strings.Contains(msg, "hmtx-ckpt/v2") {
 		t.Errorf("ckpt diff stderr should point at hmtxdbg, got %q", msg)
 	}
 }

@@ -40,7 +40,7 @@
 // feed cmd/hmtxreport.
 //
 // Checkpointing (DESIGN.md §18): -ckpt-every N segments the run into
-// N-iteration engine runs; -ckpt-out writes an hmtx-ckpt/v1 document with the
+// N-iteration engine runs; -ckpt-out writes an hmtx-ckpt/v2 document with the
 // full simulation state at each segment boundary, and -ckpt-halt stops the
 // run at the first boundary. -resume continues a halted run from its
 // checkpoint: the benchmark, machine configuration, paradigm, instruments and
@@ -131,9 +131,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cascadeWindow := fs.Int64("cascade-window", 0, "abort-cascade detection window in simulated cycles (0 = default)")
 	histOut := fs.String("hist", "", "write the hmtx-hist/v1 latency-histogram document to this file")
 	ckptEvery := fs.Int("ckpt-every", 0, "segment the run every N iterations for checkpointing (0 = off; -system hmtx only)")
-	ckptOut := fs.String("ckpt-out", "", "write an hmtx-ckpt/v1 checkpoint to this file at each segment boundary")
+	ckptOut := fs.String("ckpt-out", "", "write an hmtx-ckpt/v2 checkpoint to this file at each segment boundary")
 	ckptHalt := fs.Bool("ckpt-halt", false, "halt the run at the first segment boundary (after writing -ckpt-out)")
-	resume := fs.String("resume", "", "resume a halted run from an hmtx-ckpt/v1 checkpoint file")
+	resume := fs.String("resume", "", "resume a halted run from an hmtx-ckpt/v2 checkpoint file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	list := fs.Bool("list", false, "list benchmarks and exit")
@@ -285,6 +285,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ec.Domains = *domains
 		rdoc.Run.EngineCfg = ec
 		cfg = ec
+	}
+	// A machine New cannot build, or a run of no iterations, is a usage
+	// error: one line and exit status 2, never a panic or a silent no-op.
+	if *scale < 1 {
+		fmt.Fprintf(stderr, "hmtxsim: -scale must be at least 1, got %d\n", *scale)
+		return 2
+	}
+	if err := cfg.Mem.Validate(); err != nil {
+		fmt.Fprintf(stderr, "hmtxsim: %v\n", err)
+		return 2
 	}
 
 	seqSys := engine.New(cfg)

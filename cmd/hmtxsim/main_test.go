@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -253,7 +255,7 @@ func TestRunMetricsOutputs(t *testing.T) {
 
 // TestCheckpointResumeCLI: a run halted at a mid-run checkpoint and resumed
 // produces byte-identical stdout and output documents to the same segmented
-// run left uninterrupted (the hmtx-ckpt/v1 contract, DESIGN.md §18).
+// run left uninterrupted (the hmtx-ckpt/v2 contract, DESIGN.md §18).
 func TestCheckpointResumeCLI(t *testing.T) {
 	outputs := func(dir string) []string {
 		return []string{
@@ -349,5 +351,57 @@ func TestCheckpointFlagValidation(t *testing.T) {
 		} else if !strings.Contains(errb.String(), tc.want) {
 			t.Errorf("%s: stderr %q does not mention %q", tc.name, errb.String(), tc.want)
 		}
+	}
+}
+
+// TestMain lets a test re-run this binary as hmtxsim itself.
+func TestMain(m *testing.M) {
+	if os.Getenv("HMTXSIM_RUN_MAIN") == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadMachineConfig: a machine memsys cannot build, or a run of no
+// iterations, is a usage error — one line, exit status 2 — not a Go panic
+// or a silent success. Each case runs in a child process, so a panic would
+// show up as it does for a user: a stack trace on stderr.
+func TestBadMachineConfig(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-cores", "0"}, "cores must be in 1..255, got 0"},
+		{[]string{"-cores", "256"}, "cores must be in 1..255, got 256"},
+		{[]string{"-vid-bits", "0"}, "VID width must be in 1..8 bits, got 0"},
+		{[]string{"-vid-bits", "9"}, "VID width must be in 1..8 bits, got 9"},
+		{[]string{"-scale", "-1"}, "-scale must be at least 1, got -1"},
+		{[]string{"-scale", "0"}, "-scale must be at least 1, got 0"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], append([]string{"-bench", "052.alvinn"}, tc.args...)...)
+			cmd.Env = append(os.Environ(), "HMTXSIM_RUN_MAIN=1")
+			var errb bytes.Buffer
+			cmd.Stderr = &errb
+			err := cmd.Run()
+			var ee *exec.ExitError
+			if err != nil && !errors.As(err, &ee) {
+				t.Fatal(err)
+			}
+			if code := cmd.ProcessState.ExitCode(); code != 2 {
+				t.Errorf("exit %d, want 2", code)
+			}
+			stderr := errb.String()
+			if !strings.Contains(stderr, tc.want) {
+				t.Errorf("stderr %q does not mention %q", stderr, tc.want)
+			}
+			if strings.Contains(stderr, "goroutine ") {
+				t.Errorf("stderr holds a stack trace:\n%s", stderr)
+			}
+			if strings.Count(stderr, "\n") != 1 {
+				t.Errorf("stderr is not one line: %q", stderr)
+			}
+		})
 	}
 }

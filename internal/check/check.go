@@ -241,7 +241,7 @@ func (c Config) applyStimulus(h *memsys.Hierarchy, o *oracle, s Stimulus) (note 
 		}
 	}
 
-	// Property: the full MOESI-San invariant set (1..8) over the whole
+	// Property: the full MOESI-San invariant set (1..9) over the whole
 	// hierarchy, not just the lines the stimulus touched.
 	if ierr := h.CheckInvariants(); ierr != nil {
 		return note, &violation{Property: "invariant", Detail: ierr.Error()}

@@ -7,7 +7,7 @@ import (
 	"hmtx/internal/memsys"
 )
 
-// Checkpoint support (hmtx-ckpt/v1, DESIGN.md §18): counterexamples are
+// Checkpoint support (hmtx-ckpt/v2, DESIGN.md §18): counterexamples are
 // debugger entry points. hmtxcheck -emit-ckpt serialises the failing trace
 // and final state; hmtxdbg re-materialises any prefix of it with ReplayTo.
 

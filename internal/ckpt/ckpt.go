@@ -1,4 +1,4 @@
-// Package ckpt implements the versioned hmtx-ckpt/v1 checkpoint format
+// Package ckpt implements the versioned hmtx-ckpt/v2 checkpoint format
 // (DESIGN.md §18): a byte-deterministic serialization of full simulation
 // state that supports exact resume — a run halted at a checkpoint and
 // resumed produces byte-identical output documents to the same run left
@@ -51,8 +51,14 @@ import (
 
 // Schema is the checkpoint document's schema tag. The version is bumped on
 // any incompatible layout change; readers reject unknown schemas rather
-// than guessing (compat rule: a vN reader reads vN only).
-const Schema = "hmtx-ckpt/v1"
+// than guessing (compat rule: a vN reader reads vN only). v2 replaced v1's
+// dense memory image (every frame of every cache) with the sparse one of
+// memsys.AppendExact.
+const Schema = "hmtx-ckpt/v2"
+
+// schemaV1 is the retired dense-image schema, refused with a message that
+// says what to do instead of a bare mismatch.
+const schemaV1 = "hmtx-ckpt/v1"
 
 // The checkpoint kinds.
 const (
@@ -61,7 +67,7 @@ const (
 	KindCheck       = "check"
 )
 
-// Doc is one hmtx-ckpt/v1 document. Exactly one kind section is non-nil,
+// Doc is one hmtx-ckpt/v2 document. Exactly one kind section is non-nil,
 // matching Kind.
 type Doc struct {
 	Schema      string            `json:"schema"`
@@ -196,6 +202,9 @@ func RestoreRun(doc *Doc) (*engine.System, error) {
 		return nil, fmt.Errorf("ckpt: not a run checkpoint (kind %q)", doc.Kind)
 	}
 	rs := doc.Run
+	if err := rs.EngineCfg.Mem.Validate(); err != nil {
+		return nil, fmt.Errorf("ckpt: checkpoint records an invalid machine: %v", err)
+	}
 	sys := engine.New(rs.EngineCfg)
 
 	// Instruments first: the sampler's probes must exist before its rows
@@ -272,7 +281,11 @@ func Read(r io.Reader) (*Doc, error) {
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("ckpt: %v", err)
 	}
-	if doc.Schema != Schema {
+	switch doc.Schema {
+	case Schema:
+	case schemaV1:
+		return nil, fmt.Errorf("ckpt: %s checkpoints are no longer readable (this build reads %s); re-capture the checkpoint with this build", schemaV1, Schema)
+	default:
 		return nil, fmt.Errorf("ckpt: schema %q is not %q", doc.Schema, Schema)
 	}
 	switch doc.Kind {

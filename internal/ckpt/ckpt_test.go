@@ -3,6 +3,8 @@ package ckpt
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"hmtx/internal/metrics"
 	"hmtx/internal/paradigm"
 	"hmtx/internal/prof"
+	"hmtx/internal/workloads"
 )
 
 // listLoop is the Figure 3 linked-list loop of the hmtx driver tests: stage 1
@@ -285,20 +288,24 @@ func TestRestoreRejectsGeometryDrift(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "cores") && !strings.Contains(err.Error(), "geometry") {
 		t.Errorf("geometry error does not name the mismatch: %v", err)
 	}
+	drifted.EngineCfg.Mem.Cores = 0
+	if _, err := RestoreRun(&Doc{Schema: Schema, Kind: KindRun, Run: &drifted}); err == nil || !strings.Contains(err.Error(), "cores must be in") {
+		t.Errorf("restore into a 0-core machine: want a configuration error, got %v", err)
+	}
 }
 
 func TestReadValidation(t *testing.T) {
 	for _, tc := range []struct{ name, body string }{
-		{"bad schema", `{"schema":"hmtx-ckpt/v2","kind":"run","run":{}}`},
-		{"bad kind", `{"schema":"hmtx-ckpt/v1","kind":"banana"}`},
-		{"missing section", `{"schema":"hmtx-ckpt/v1","kind":"run"}`},
-		{"not json", `schema: hmtx-ckpt/v1`},
+		{"bad schema", `{"schema":"hmtx-ckpt/v3","kind":"run","run":{}}`},
+		{"bad kind", `{"schema":"hmtx-ckpt/v2","kind":"banana"}`},
+		{"missing section", `{"schema":"hmtx-ckpt/v2","kind":"run"}`},
+		{"not json", `schema: hmtx-ckpt/v2`},
 	} {
 		if _, err := Read(strings.NewReader(tc.body)); err == nil {
 			t.Errorf("%s: want error", tc.name)
 		}
 	}
-	good := `{"schema":"hmtx-ckpt/v1","kind":"check","check":{"config":{}}}`
+	good := `{"schema":"hmtx-ckpt/v2","kind":"check","check":{"config":{}}}`
 	doc, err := Read(strings.NewReader(good))
 	if err != nil {
 		t.Fatalf("valid check doc rejected: %v", err)
@@ -347,7 +354,66 @@ func TestDocDeterministic(t *testing.T) {
 	if err := json.Unmarshal(docs[0], &v); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(v["schema"], "hmtx-ckpt/v1") {
+	if !reflect.DeepEqual(v["schema"], "hmtx-ckpt/v2") {
 		t.Errorf("schema field = %v", v["schema"])
+	}
+}
+
+// TestReadFileRefusesV1: a checkpoint in the retired dense hmtx-ckpt/v1
+// layout is refused with one line that names both versions and says what to
+// do, not with a bare schema mismatch.
+func TestReadFileRefusesV1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(path, []byte(`{"schema":"hmtx-ckpt/v1","kind":"run","run":{"mem":"686d74786d656d31"}}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadFile(path)
+	if err == nil {
+		t.Fatal("v1 checkpoint accepted")
+	}
+	msg := err.Error()
+	for _, want := range []string{"hmtx-ckpt/v1", "hmtx-ckpt/v2", "re-capture", path} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error %q does not mention %q", msg, want)
+		}
+	}
+	if strings.Contains(msg, "\n") {
+		t.Errorf("error spans several lines: %q", msg)
+	}
+}
+
+// TestCheckpointSizeSparse pins the sparse memory image: a 197.parser HMTX
+// checkpoint at every 5 iterations (hmtxsim -bench 197.parser -ckpt-every 5)
+// encodes only the frames the run touched. The dense v1 image of the same
+// state was 108 MB; a regression to dense encoding fails here.
+func TestCheckpointSizeSparse(t *testing.T) {
+	const limit = 4 << 20
+	spec, err := workloads.ByName("197.parser")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.DefaultConfig()
+	sys := engine.New(cfg)
+	loop := spec.New(1)
+	loop.Setup(sys.Mem)
+	captured := 0
+	hmtx.RunOpts(sys, loop, spec.Paradigm, cfg.Mem.Cores, hmtx.Options{
+		Every: 5,
+		Checkpoint: func(nextIt int, sofar hmtx.Outcome) bool {
+			var buf bytes.Buffer
+			if err := Write(&buf, CaptureRun(sys, RunState{Bench: spec.Name, System: "hmtx",
+				Paradigm: spec.Paradigm.String(), Cores: cfg.Mem.Cores, Scale: 1, Every: 5,
+				EngineCfg: cfg, NextIt: nextIt, Partial: sofar})); err != nil {
+				t.Fatal(err)
+			}
+			if buf.Len() >= limit {
+				t.Errorf("checkpoint at iteration %d is %d bytes, want under %d", nextIt, buf.Len(), limit)
+			}
+			captured++
+			return false
+		},
+	})
+	if captured == 0 {
+		t.Fatal("no checkpoint captured")
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"hmtx/internal/vid"
 )
 
-// This file implements the engine's half of the hmtx-ckpt/v1 checkpoint
+// This file implements the engine's half of the hmtx-ckpt/v2 checkpoint
 // format (internal/ckpt, DESIGN.md §18): capturing and restoring the
 // System state that persists across Run calls, plus the per-event debug hook
 // cmd/hmtxdbg uses to seek, watch and step through a deterministic
@@ -80,7 +80,7 @@ type TxCkpt struct {
 	BeginAt      int64    `json:"begin_at,omitempty"`
 }
 
-// Ckpt is the engine state of an hmtx-ckpt/v1 checkpoint: every System field
+// Ckpt is the engine state of an hmtx-ckpt/v2 checkpoint: every System field
 // that survives a Run boundary. It marshals deterministically (maps render
 // with sorted keys under encoding/json).
 type Ckpt struct {

@@ -62,7 +62,7 @@ func (s *System) Register(r *obs.Registry) {
 }
 
 // AddObsHistCkpts adds the engine's registry-histogram state to dst under
-// prefix, for hmtx-ckpt/v1 checkpoints (DESIGN.md §18). A no-op when no
+// prefix, for hmtx-ckpt/v2 checkpoints (DESIGN.md §18). A no-op when no
 // registry is attached: the histograms only exist — and only fill — while
 // registered.
 func (s *System) AddObsHistCkpts(prefix string, dst map[string]obs.HistCkpt) {

@@ -7,7 +7,7 @@ import (
 	"hmtx/internal/workloads"
 )
 
-// Checkpoint support (hmtx-ckpt/v1, DESIGN.md §18) at (benchmark, mode) unit
+// Checkpoint support (hmtx-ckpt/v2, DESIGN.md §18) at (benchmark, mode) unit
 // granularity. Every unit owns its engine.System and writes a disjoint field
 // group of its BenchResult, so a unit boundary is a perfect cut: resuming a
 // suite from a checkpoint re-runs only the remaining units and produces

@@ -63,6 +63,15 @@ type Config struct {
 // Default returns the evaluation configuration.
 func Default() Config { return Config{Scale: 1, Cores: 4, Parallelism: 1} }
 
+// Validate reports whether the configuration can be run: a positive scale and
+// a machine memsys.New can build.
+func (c Config) Validate() error {
+	if c.Scale < 1 {
+		return fmt.Errorf("scale must be at least 1, got %d", c.Scale)
+	}
+	return c.engineConfig().Mem.Validate()
+}
+
 func (c Config) engineConfig() engine.Config {
 	ec := engine.DefaultConfig()
 	ec.Mem.Cores = c.Cores

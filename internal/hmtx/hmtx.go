@@ -42,7 +42,7 @@ type Outcome struct {
 	ExitedEarly bool
 }
 
-// Options controls segmented execution for checkpointing (hmtx-ckpt/v1,
+// Options controls segmented execution for checkpointing (hmtx-ckpt/v2,
 // DESIGN.md §18). The zero value runs the loop to completion in one sweep,
 // exactly as Run always has.
 type Options struct {

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hmtx/internal/vid"
 )
@@ -13,24 +14,33 @@ import (
 // Per-access work in this file is allocation-free: lookups iterate the ways
 // of one set inline instead of materialising version slices, and a per-set
 // generation stamp skips the settle scan entirely when nothing committed
-// since the set was last scanned for the same tag (DESIGN.md §11).
+// since the set was last scanned for the same tag (DESIGN.md §11). The only
+// allocation is a set's frames, on its first fill (insert).
 type cache struct {
 	name    string
 	id      int // index into the hierarchy's cache array; bit in presence masks
 	hier    *Hierarchy
 	numSets int
 	ways    int
-	sets    [][]Line
 	hits    uint64 // requests this cache served (per-cache stats registry)
 
-	// setGen/setTag implement the settle-skip fast path: setGen[si] holds
-	// the hierarchy coherence generation (bumped on every Commit, VIDReset
-	// and AbortAll) at which set si was last settle-scanned, and setTag[si]
-	// the line address that scan was for. When both still match, every
-	// resident version of that tag is already settled and the scan is a
-	// provable no-op — the common case for consecutive L1 hits.
-	setGen []uint64
-	setTag []Addr
+	// sets holds the frames of each set. A set stays nil until insert
+	// first fills it: a run touches a small fraction of the 32 MB L2, so
+	// storage and every whole-cache walk scale with the touched sets
+	// (DESIGN.md §11). A nil set holds no valid line, so lookups on it miss
+	// exactly as on a set of Invalid frames.
+	sets [][]Line
+
+	// meta is the per-set bookkeeping, one entry for every set whether or
+	// not its frames are allocated.
+	meta []setMeta
+
+	// dirty has bit si set when set si may have changed since specCount
+	// last counted it. set() and forEach — the only ways to reach a
+	// resident frame — set the bit, so no state transition needs its own
+	// hook; spec is the cache's speculative-frame total as of that count.
+	dirty []uint64
+	spec  uint64
 
 	// lruClock is this cache's private recency counter. Victim selection
 	// only ever compares lru stamps of lines within one set of one cache,
@@ -41,16 +51,29 @@ type cache struct {
 	lruClock uint64
 }
 
+// setMeta is the bookkeeping of one cache set.
+type setMeta struct {
+	// gen and tag implement the settle-skip fast path: gen holds the
+	// hierarchy coherence generation (bumped on every Commit, VIDReset and
+	// AbortAll) at which the set was last settle-scanned, and tag the line
+	// address that scan was for. When both still match, every resident
+	// version of that tag is already settled and the scan is a provable
+	// no-op — the common case for consecutive L1 hits.
+	gen uint64
+	tag Addr
+	// spec is the number of speculative frames in the set at its last
+	// count (specCount).
+	spec uint32
+}
+
 func newCache(name string, id, size, ways int, h *Hierarchy) *cache {
 	numSets := size / (ways * LineSize)
-	c := &cache{name: name, id: id, hier: h, numSets: numSets, ways: ways}
-	c.sets = make([][]Line, numSets)
-	for i := range c.sets {
-		c.sets[i] = make([]Line, ways)
+	return &cache{
+		name: name, id: id, hier: h, numSets: numSets, ways: ways,
+		sets:  make([][]Line, numSets),
+		meta:  make([]setMeta, numSets),
+		dirty: make([]uint64, (numSets+63)/64),
 	}
-	c.setGen = make([]uint64, numSets)
-	c.setTag = make([]Addr, numSets)
-	return c
 }
 
 func (c *cache) setIndex(lineAddr Addr) int {
@@ -68,7 +91,9 @@ func (c *cache) set(lineAddr Addr) []Line {
 	si := c.setIndex(lineAddr)
 	s := c.sets[si]
 	h := c.hier
-	if c.setGen[si] == h.gen && c.setTag[si] == lineAddr {
+	c.markDirty(si) // the caller may change any frame
+	m := &c.meta[si]
+	if m.gen == h.gen && m.tag == lineAddr {
 		// No commit, VID reset or abort since this set was last scanned
 		// for this tag, and every line entering a cache is settled at
 		// install time — the scan below would be a pure no-op.
@@ -79,8 +104,7 @@ func (c *cache) set(lineAddr Addr) []Line {
 			s[i].settle(h.epoch, h.lc, h.cfg.VIDSpace.Max())
 		}
 	}
-	c.setGen[si] = h.gen
-	c.setTag[si] = lineAddr
+	m.gen, m.tag = h.gen, lineAddr
 	return s
 }
 
@@ -203,6 +227,12 @@ func (c *cache) insert(ln Line) (victim Line, evicted bool) {
 			return Line{}, false
 		}
 	}
+	if s == nil {
+		// First fill of this set: allocate its frames (set() has already
+		// stamped and dirtied it, exactly as for an allocated empty set).
+		s = make([]Line, c.ways)
+		c.sets[c.setIndex(ln.Tag)] = s
+	}
 	slot := c.pickVictim(ln.Tag)
 	if slot.St != Invalid {
 		victim, evicted = *slot, true
@@ -247,8 +277,11 @@ func stateRank(s State) int {
 // forEach applies fn to every valid line in the cache (settled first).
 func (c *cache) forEach(fn func(*Line)) {
 	h := c.hier
-	for si := range c.sets {
-		s := c.sets[si]
+	for si, s := range c.sets {
+		if s == nil {
+			continue
+		}
+		c.markDirty(si)
 		for i := range s {
 			if s[i].St == Invalid {
 				continue
@@ -259,6 +292,49 @@ func (c *cache) forEach(fn func(*Line)) {
 			}
 		}
 	}
+}
+
+// markDirty records that set si may have changed since the last specCount.
+//
+//hmtx:hotpath
+func (c *cache) markDirty(si int) { c.dirty[si>>6] |= 1 << (si & 63) }
+
+// specCount recounts the speculative frames of every dirty set and returns
+// the cache's total. It counts raw, unsettled states, as a scan of every
+// frame would: a line with a pending lazy commit still counts until it is
+// next touched.
+func (c *cache) specCount() uint64 {
+	for wi, w := range c.dirty {
+		for w != 0 {
+			si := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			n := uint32(0)
+			for i := range c.sets[si] {
+				if c.sets[si][i].St.Speculative() {
+					n++
+				}
+			}
+			c.spec += uint64(n) - uint64(c.meta[si].spec)
+			c.meta[si].spec = n
+		}
+		c.dirty[wi] = 0
+	}
+	return c.spec
+}
+
+// scanSpec counts the speculative frames of the cache by visiting every
+// allocated frame: the reference specCount must agree with (MOESI-San
+// invariant 9).
+func (c *cache) scanSpec() uint64 {
+	var n uint64
+	for _, s := range c.sets {
+		for i := range s {
+			if s[i].St.Speculative() {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // lineCount returns the number of valid lines (for tests and stats).

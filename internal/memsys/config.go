@@ -10,7 +10,11 @@
 // speculative overflow of non-speculative S-O copies to memory (§5.4).
 package memsys
 
-import "hmtx/internal/vid"
+import (
+	"fmt"
+
+	"hmtx/internal/vid"
+)
 
 // LineSize is the cache line size in bytes (Table 2).
 const LineSize = 64
@@ -107,26 +111,26 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate panics if the configuration is internally inconsistent; it is
-// called by New.
-func (c Config) validate() {
+// Validate reports whether the configuration describes a machine New can
+// build. New panics on an invalid configuration; front ends call Validate
+// first so a bad flag becomes an error message rather than a panic.
+func (c Config) Validate() error {
 	switch {
-	case c.Cores <= 0:
-		panic("memsys: Cores must be positive")
-	case c.Cores > 255:
+	case c.Cores < 1 || c.Cores > 255:
 		// The snoop filter keeps one presence bit per cache (Cores L1s
 		// plus the L2) in a presMask, sized for 256 caches; the engine's
 		// deterministic event keys also reserve 8 bits for the core id.
-		panic("memsys: at most 255 cores supported")
+		return fmt.Errorf("memsys: cores must be in 1..255, got %d", c.Cores)
 	case c.L1Size <= 0 || c.L1Ways <= 0 || c.L1Size%(c.L1Ways*LineSize) != 0:
-		panic("memsys: invalid L1 geometry")
+		return fmt.Errorf("memsys: invalid L1 geometry (%d bytes, %d ways)", c.L1Size, c.L1Ways)
 	case c.L2Size <= 0 || c.L2Ways <= 0 || c.L2Size%(c.L2Ways*LineSize) != 0:
-		panic("memsys: invalid L2 geometry")
+		return fmt.Errorf("memsys: invalid L2 geometry (%d bytes, %d ways)", c.L2Size, c.L2Ways)
 	case c.VIDSpace.Bits == 0 || c.VIDSpace.Bits > 8:
-		panic("memsys: VID width must be in 1..8")
+		return fmt.Errorf("memsys: VID width must be in 1..8 bits, got %d", c.VIDSpace.Bits)
 	case c.InjectBug != "" && c.InjectBug != BugDupVersionOnMigrate && c.InjectBug != BugStaleCopyOnConvert:
-		panic("memsys: unknown InjectBug " + c.InjectBug)
+		return fmt.Errorf("memsys: unknown InjectBug %q", c.InjectBug)
 	}
+	return nil
 }
 
 // Quantum returns the conservative synchronisation quantum for domain-sharded

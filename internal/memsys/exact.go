@@ -10,7 +10,7 @@ import (
 )
 
 // This file implements the exact (round-trippable) state encoding behind the
-// hmtx-ckpt/v1 checkpoint format (internal/ckpt, DESIGN.md §18). Unlike
+// hmtx-ckpt/v2 checkpoint format (internal/ckpt, DESIGN.md §18). Unlike
 // AppendCanonical (snapshot.go), which deliberately quotients by way and core
 // permutations, epoch distance and derived bookkeeping so the model checker
 // can collapse equivalent states, AppendExact preserves every bit of the
@@ -22,10 +22,17 @@ import (
 // The encoding is versioned by its magic string and validated against the
 // restoring hierarchy's geometry, so a checkpoint taken under one Config can
 // never be silently decoded into an incompatible machine.
+//
+// The encoding is sparse, like the cache storage it mirrors (DESIGN.md §11,
+// §18.2): a cache contributes only the sets that were ever filled or
+// settle-stamped, and within them only the frames that are not the zero
+// Line. Each encoded frame keeps its way index and LRU stamp, and each set
+// its settle stamps: way position and the stale LRU stamps of Invalid frames
+// decide pickVictim ties, so dropping them would change later victims.
 
 // exactMagic versions the exact binary encoding. Bump it on any layout
 // change; internal/ckpt carries the whole blob opaquely.
-const exactMagic = "hmtxmem1"
+const exactMagic = "hmtxmem2"
 
 // AppendExact appends a complete, restorable encoding of the hierarchy's
 // mutable state to buf and returns the result. Observers (tracker, tracer,
@@ -108,14 +115,41 @@ func (h *Hierarchy) geometry() []uint64 {
 func (c *cache) appendExact(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, c.lruClock)
 	buf = binary.BigEndian.AppendUint64(buf, c.hits)
+	n := 0
 	for si := range c.sets {
-		buf = binary.BigEndian.AppendUint64(buf, c.setGen[si])
-		buf = binary.BigEndian.AppendUint64(buf, c.setTag[si])
-		for wi := range c.sets[si] {
-			buf = c.sets[si][wi].appendExact(buf)
+		if c.encodesSet(si) {
+			n++
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(n))
+	for si, s := range c.sets {
+		if !c.encodesSet(si) {
+			continue
+		}
+		buf = binary.AppendUvarint(buf, uint64(si))
+		buf = binary.BigEndian.AppendUint64(buf, c.meta[si].gen)
+		buf = binary.BigEndian.AppendUint64(buf, c.meta[si].tag)
+		k := 0
+		for wi := range s {
+			if s[wi] != (Line{}) {
+				k++
+			}
+		}
+		buf = binary.AppendUvarint(buf, uint64(k))
+		for wi := range s {
+			if s[wi] != (Line{}) {
+				buf = binary.AppendUvarint(buf, uint64(wi))
+				buf = s[wi].appendExact(buf)
+			}
 		}
 	}
 	return buf
+}
+
+// encodesSet reports whether set si carries any state: allocated frames or
+// settle stamps. Every other set is indistinguishable from a fresh one.
+func (c *cache) encodesSet(si int) bool {
+	return c.sets[si] != nil || c.meta[si] != (setMeta{})
 }
 
 func (l *Line) appendExact(buf []byte) []byte {
@@ -155,6 +189,19 @@ func (r *exactReader) u64() uint64 {
 		return 0
 	}
 	return binary.BigEndian.Uint64(b)
+}
+
+func (r *exactReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf)
+	if n <= 0 {
+		r.err = fmt.Errorf("memsys: malformed varint in exact encoding")
+		return 0
+	}
+	r.buf = r.buf[n:]
+	return v
 }
 
 func (r *exactReader) u8() byte {
@@ -229,11 +276,38 @@ func (h *Hierarchy) RestoreExact(enc []byte) error {
 func (c *cache) restoreExact(r *exactReader) {
 	c.lruClock = r.u64()
 	c.hits = r.u64()
-	for si := range c.sets {
-		c.setGen[si] = r.u64()
-		c.setTag[si] = r.u64()
-		for wi := range c.sets[si] {
-			c.sets[si][wi].restoreExact(r)
+	c.sets = make([][]Line, c.numSets)
+	c.meta = make([]setMeta, c.numSets)
+	c.dirty = make([]uint64, len(c.dirty))
+	c.spec = 0
+	next := 0 // sets are encoded in ascending index order
+	for n := r.uvarint(); n > 0 && r.err == nil; n-- {
+		si := r.uvarint()
+		if r.err == nil && (si < uint64(next) || si >= uint64(c.numSets)) {
+			r.err = fmt.Errorf("memsys: %s: set index %d out of order or range", c.name, si)
+			return
+		}
+		next = int(si) + 1
+		c.meta[si].gen = r.u64()
+		c.meta[si].tag = r.u64()
+		k := r.uvarint()
+		if r.err == nil && k > uint64(c.ways) {
+			r.err = fmt.Errorf("memsys: %s set %d: %d frames in a %d-way set", c.name, si, k, c.ways)
+			return
+		}
+		if k == 0 {
+			continue
+		}
+		s := make([]Line, c.ways)
+		c.sets[si] = s
+		c.markDirty(int(si)) // recount on the next sample
+		for ; k > 0 && r.err == nil; k-- {
+			wi := r.uvarint()
+			if r.err == nil && wi >= uint64(c.ways) {
+				r.err = fmt.Errorf("memsys: %s set %d: way %d out of range", c.name, si, wi)
+				return
+			}
+			s[wi].restoreExact(r)
 		}
 	}
 }

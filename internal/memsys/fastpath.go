@@ -42,8 +42,7 @@ func (h *Hierarchy) TryLocalLoad(core int, addr Addr, a vid.V, stampOnly bool) (
 		// canonical order and change those samples. Only proceed when the
 		// set is already settle-stamped for this tag, making the scan in
 		// findHit→set a provable no-op.
-		si := l1.setIndex(la)
-		if l1.setGen[si] != h.gen || l1.setTag[si] != la {
+		if m := &l1.meta[l1.setIndex(la)]; m.gen != h.gen || m.tag != la {
 			return 0, res, false, false
 		}
 	}

@@ -58,9 +58,12 @@ type Hierarchy struct {
 	san sanitizer
 }
 
-// New builds a hierarchy for the given configuration.
+// New builds a hierarchy for the given configuration. It panics if
+// cfg.Validate reports an error.
 func New(cfg Config) *Hierarchy {
-	cfg.validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	h := &Hierarchy{cfg: cfg, mem: newMemory(), gen: 1, pres: make(map[Addr]presMask)}
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1s = append(h.l1s, newCache(fmt.Sprintf("L1.%d", i), i, cfg.L1Size, cfg.L1Ways, h))

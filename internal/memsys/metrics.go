@@ -27,16 +27,18 @@ func (h *Hierarchy) seqOf(v vid.V) uint64 {
 
 // SpecOccupancy returns the number of cache lines currently in a speculative
 // state across every cache. It is a sampling probe, not a fast-path
-// operation: the walk visits every way of every cache.
+// operation: each cache recounts only the sets touched since the previous
+// call (cache.specCount), so a sample costs in proportion to the traffic
+// since the last one, not to the configured cache size. Under MOESI-San the
+// maintained totals are also checked against a full scan (invariant 9).
 func (h *Hierarchy) SpecOccupancy() uint64 {
 	var n uint64
 	for _, c := range h.all {
-		for _, s := range c.sets {
-			for w := range s {
-				if s[w].St.Speculative() {
-					n++
-				}
-			}
+		n += c.specCount()
+	}
+	if h.cfg.Sanitize {
+		if err := h.checkSpecCounts(); err != nil {
+			panic(err)
 		}
 	}
 	return n

@@ -59,7 +59,7 @@ func (h *Hierarchy) Register(r *obs.Registry, prefix string) {
 }
 
 // AddObsHistCkpts adds the hierarchy's registry-histogram state to dst under
-// prefix, for hmtx-ckpt/v1 checkpoints (DESIGN.md §18). A no-op when no
+// prefix, for hmtx-ckpt/v2 checkpoints (DESIGN.md §18). A no-op when no
 // registry is attached.
 func (h *Hierarchy) AddObsHistCkpts(prefix string, dst map[string]obs.HistCkpt) {
 	if h.histLoadLat == nil {

@@ -57,6 +57,12 @@ import (
 //     filter — the filter is a conservative superset, so it can never mask
 //     a real copy from a bus snoop or protocol sweep. (Stale set bits are
 //     legal; they cost a wasted visit, never correctness.)
+//  9. Occupancy bookkeeping (DESIGN.md §11): after recounting its dirty
+//     sets, each cache's maintained speculative-frame total equals a full
+//     scan of its frames — no frame changed state behind a set() or
+//     forEach, the only paths that mark a set for recounting. Checked by
+//     CheckInvariants and, under Config.Sanitize, at every SpecOccupancy
+//     sample.
 type sanitizer struct {
 	// touched accumulates the line addresses the current operation moved,
 	// marked or evicted, in first-touch order (deterministic).
@@ -129,7 +135,8 @@ func (h *Hierarchy) sanCheck() {
 }
 
 // CheckInvariants verifies the whole hierarchy: every set of every cache
-// structurally, and the cross-cache invariants for every resident line. It
+// structurally, the cross-cache invariants for every resident line, and the
+// occupancy bookkeeping (invariant 9, which recounts dirty sets first). It
 // returns nil when all invariants hold. Tests may call it directly; AbortAll
 // runs it automatically under Config.Sanitize.
 func (h *Hierarchy) CheckInvariants() error {
@@ -156,6 +163,17 @@ func (h *Hierarchy) CheckInvariants() error {
 	for _, la := range tags {
 		if err := h.checkLine(la); err != nil {
 			return err
+		}
+	}
+	return h.checkSpecCounts()
+}
+
+// checkSpecCounts asserts invariant 9: each cache's speculative-frame total,
+// brought up to date by recounting its dirty sets, equals a full scan.
+func (h *Hierarchy) checkSpecCounts() error {
+	for _, c := range h.allCaches() {
+		if got, want := c.specCount(), c.scanSpec(); got != want {
+			return h.violation(0, "%s: maintained speculative-frame count %d, full scan finds %d", c.name, got, want)
 		}
 	}
 	return nil

@@ -8,9 +8,15 @@ import (
 )
 
 // plant writes a raw line into cache c's correct set, bypassing the protocol,
-// to construct illegal states the sanitizer must reject.
+// to construct illegal states the sanitizer must reject. Like insert, it
+// allocates the set on first fill and marks it for the occupancy recount.
 func plant(h *Hierarchy, c *cache, ln Line) {
-	set := c.sets[c.setIndex(ln.Tag)]
+	si := c.setIndex(ln.Tag)
+	if c.sets[si] == nil {
+		c.sets[si] = make([]Line, c.ways)
+	}
+	c.markDirty(si)
+	set := c.sets[si]
 	for i := range set {
 		if set[i].St == Invalid {
 			c.lruClock++
@@ -171,6 +177,15 @@ func TestSanitizeDetectsViolations(t *testing.T) {
 				set[0].lru = h.l1s[0].lruClock + 100
 			},
 			want: "LRU stamp",
+		},
+		{
+			name: "speculative-frame count skew",
+			build: func(h *Hierarchy) {
+				plant(h, h.l1s[0], specLine(h, addrA, SpecModified, 2, 2))
+				h.SpecOccupancy() // bring the maintained counts up to date
+				h.l1s[0].spec++
+			},
+			want: "maintained speculative-frame count",
 		},
 		{
 			name: "nonzero VIDs on a non-speculative line",

@@ -64,12 +64,27 @@ func (c *cache) clone(h *Hierarchy) *cache {
 		hits:     c.hits,
 		lruClock: c.lruClock,
 	}
-	cp.sets = make([][]Line, len(c.sets))
-	for i := range c.sets {
-		cp.sets[i] = append([]Line(nil), c.sets[i]...)
+	// One backing array for every allocated set: a clone costs the same
+	// number of allocations whatever the cache size or how many sets are
+	// filled, which matters because the model checker clones per edge.
+	n := 0
+	for _, s := range c.sets {
+		if s != nil {
+			n++
+		}
 	}
-	cp.setGen = append([]uint64(nil), c.setGen...)
-	cp.setTag = append([]Addr(nil), c.setTag...)
+	frames := make([]Line, 0, n*c.ways)
+	cp.sets = make([][]Line, len(c.sets))
+	for i, s := range c.sets {
+		if s != nil {
+			lo := len(frames)
+			frames = append(frames, s...)
+			cp.sets[i] = frames[lo:len(frames):len(frames)]
+		}
+	}
+	cp.meta = append([]setMeta(nil), c.meta...)
+	cp.dirty = append([]uint64(nil), c.dirty...)
+	cp.spec = c.spec
 	return cp
 }
 

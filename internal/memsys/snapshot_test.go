@@ -104,8 +104,9 @@ func TestFingerprintCorePermutation(t *testing.T) {
 
 	a, b := h.l1s[0], h.l1s[1]
 	a.sets, b.sets = b.sets, a.sets
-	a.setGen, b.setGen = b.setGen, a.setGen
-	a.setTag, b.setTag = b.setTag, a.setTag
+	a.meta, b.meta = b.meta, a.meta
+	a.dirty, b.dirty = b.dirty, a.dirty
+	a.spec, b.spec = b.spec, a.spec
 	if h.Fingerprint(snapAddrs) != fp {
 		t.Fatal("core permutation changed the fingerprint")
 	}

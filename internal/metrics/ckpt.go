@@ -2,7 +2,7 @@ package metrics
 
 import "fmt"
 
-// Checkpoint support (hmtx-ckpt/v1, DESIGN.md §18) for the three metric
+// Checkpoint support (hmtx-ckpt/v2, DESIGN.md §18) for the three metric
 // instruments. Each instrument serialises its full accumulated state so a
 // resumed run's final documents are byte-identical to the uninterrupted
 // run's. Probes are closures over live counters and cannot be serialised;

@@ -89,7 +89,7 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.total)
 }
 
-// HistCkpt is a Histogram's recorded contents for hmtx-ckpt/v1 checkpoints
+// HistCkpt is a Histogram's recorded contents for hmtx-ckpt/v2 checkpoints
 // (DESIGN.md §18). Bounds are construction-time configuration, not state, so
 // only the sample record is carried; RestoreCkpt validates the bucket count
 // against the receiver's bounds.

@@ -2,7 +2,7 @@ package prof
 
 import "fmt"
 
-// Checkpoint support (hmtx-ckpt/v1, DESIGN.md §18). A collector is
+// Checkpoint support (hmtx-ckpt/v2, DESIGN.md §18). A collector is
 // checkpointed only at run boundaries, after RunEnd has folded the run's
 // pending charges: the pend slices are empty, so the serialisable state is
 // exactly the folded accumulators plus the first-touch key orders that make
@@ -30,7 +30,7 @@ type TxCkpt struct {
 	Wasted   int64 `json:"wasted,omitempty"`
 }
 
-// Ckpt is the profiler section of an hmtx-ckpt/v1 checkpoint. Lines and Txs
+// Ckpt is the profiler section of an hmtx-ckpt/v2 checkpoint. Lines and Txs
 // are index-aligned with LineAddrs and TxSeqs, whose order is first-touch
 // order — restoring it exactly keeps every post-resume snapshot
 // byte-identical to the uninterrupted run's.

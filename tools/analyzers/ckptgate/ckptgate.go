@@ -2,7 +2,7 @@
 // goroutines in the intra-run simulation layer (internal/engine,
 // internal/memsys).
 //
-// An hmtx-ckpt/v1 snapshot (DESIGN.md §18) is a whole-machine observation:
+// An hmtx-ckpt/v2 snapshot (DESIGN.md §18) is a whole-machine observation:
 // CaptureCkpt walks every architectural counter, AppendExact serialises
 // every cache line of every level, and the internal/ckpt document functions
 // stitch those into the versioned byte-exact format. The byte-determinism
