@@ -16,7 +16,7 @@ import (
 // re-execution.
 //
 // Checkpoints are only taken at run boundaries, where the machine is
-// quiescent: no program goroutines are live, no core is parked, the bus is
+// quiescent: no program coroutines are live, no core is parked, the bus is
 // idle and the inter-stage queues are empty (Run resets all of that state
 // anyway). What persists — and is therefore checkpointed — is exactly the
 // state Run does NOT reset: committed memory (serialized separately via
@@ -97,7 +97,7 @@ type Ckpt struct {
 
 // CaptureCkpt snapshots the persistent engine state. It must be called at a
 // run boundary (between Run calls); it panics if the machine is not
-// quiescent, because mid-run state (goroutine stacks, parked cores, queue
+// quiescent, because mid-run state (coroutine stacks, parked cores, queue
 // contents) is deliberately not serializable.
 func (s *System) CaptureCkpt() Ckpt {
 	if s.nLive != 0 {

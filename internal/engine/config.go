@@ -3,7 +3,11 @@
 //
 // Workload programs are ordinary Go functions that issue loads, stores,
 // computation, branches and HMTX transaction operations through an Env
-// handle. Each program runs on one simulated core; the engine serialises all
+// handle. Each program runs on one simulated core as a coroutine that yields
+// every operation to the scheduler (coro.go). The scheduler resumes one
+// program at a time — the runnable core with the earliest clock, from a
+// heap — and parks a core that must wait on a wait list until a queue
+// operation, commit or abort releases it (sched.go). It serialises all
 // memory-system activity and advances per-core cycle counts using the
 // latencies of Table 2, so a run's cycle count is a deterministic function
 // of the configuration and seed.

@@ -162,9 +162,9 @@ func (s *System) runRounds(live []*core) {
 		}
 	}()
 	for s.nLive > 0 {
-		c := s.pickRunnable(live)
+		c := s.runq.peek()
 		if c == nil {
-			s.dumpDeadlock(live)
+			s.dumpDeadlock()
 		}
 		if !s.aborting {
 			if _, ok := s.fastEligible(c, c.pendingReq); ok {
@@ -172,14 +172,8 @@ func (s *System) runRounds(live []*core) {
 				continue
 			}
 		}
-		r := c.pendingReq
-		c.hasReq = false
-		s.handle(c, r)
+		s.step(c)
 		c.fastFailed = false
-		if !c.done && c.parked == parkNone {
-			s.receive(c)
-		}
-		s.retryParked(live)
 	}
 }
 
@@ -236,16 +230,8 @@ func (s *System) fastEligible(c *core, r request) (delta int64, ok bool) {
 // bounds, wake the persistent domain workers, wait for the round barrier,
 // then drain the buffered effects in canonical key order.
 func (s *System) runRound(rs *roundState, live []*core) {
-	minKey := int64(math.MaxInt64)
-	for _, c := range live {
-		if !c.done && c.parked == parkNone && c.hasReq {
-			if k := coreKey(c); k < minKey {
-				minKey = k
-			}
-		}
-	}
 	s.rounds++
-	rs.horizon = minKey + rs.quantum<<8
+	rs.horizon = coreKey(s.runq.peek()) + rs.quantum<<8
 	for i, c := range live {
 		if c.done || c.parked != parkNone {
 			// Inert this round: parked cores wake only through global
@@ -265,7 +251,13 @@ func (s *System) runRound(rs *roundState, live []*core) {
 		ch <- struct{}{}
 	}
 	<-rs.done
+	for _, c := range live {
+		if c.crash != nil {
+			panic(c.crash)
+		}
+	}
 	s.drainRound(rs)
+	s.runq.rekey()
 }
 
 // domainWorker is one domain's persistent worker goroutine: it sleeps
@@ -360,11 +352,10 @@ func (s *System) advanceCore(rs *roundState, idx int, c *core) int {
 
 // execFast executes c's pending fast operation: applies its core-private
 // physical effects, buffers its shared-accumulator effects, publishes the
-// core's advanced bound, responds to the program and receives its next
-// request. Returns false only for a load the memory system refused, leaving
-// all state untouched except possibly settled versions in c's own L1 (a
-// no-op under the serial schedule's lazy-commit rules — see
-// memsys.TryLocalLoad).
+// core's advanced bound, and resumes the program until its next request.
+// Returns false only for a load the memory system refused, leaving all state
+// untouched except possibly settled versions in c's own L1 (a no-op under
+// the serial schedule's lazy-commit rules — see memsys.TryLocalLoad).
 func (s *System) execFast(rs *roundState, idx int, c *core) bool {
 	r := c.pendingReq
 	rec := fastRec{key: coreKey(c), core: c.id, seq: c.curSeq, kind: r.kind}
@@ -411,10 +402,22 @@ func (s *System) execFast(rs *roundState, idx int, c *core) bool {
 	}
 	rs.recs[idx] = append(rs.recs[idx], rec)
 	rs.bounds[idx].Store(coreKey(c) << 1)
-	c.hasReq = false
-	c.resp <- resp
-	s.receive(c)
+	s.respondInRound(c, resp)
 	return true
+}
+
+// respondInRound is respond on a domain worker. A program panic is recorded
+// in c.crash for the coordinator to re-raise at the barrier, instead of
+// unwinding the worker goroutine; the core's pending request becomes reqDone,
+// which no round executes.
+func (s *System) respondInRound(c *core, resp response) {
+	defer func() {
+		if r := recover(); r != nil {
+			c.crash = r
+			c.pendingReq = request{kind: reqDone}
+		}
+	}()
+	s.respond(c, resp)
 }
 
 // drainRound is the canonical barrier drain: the per-core effect buffers are

@@ -44,7 +44,7 @@ type response struct {
 }
 
 // Env is a program's handle to its simulated core. All methods may only be
-// called from the program's own goroutine.
+// called from the program itself, which runs as a coroutine (coro.go).
 //
 // When the region aborts, every Env method unwinds the program via an
 // internal panic that the engine recovers; the program's Run call then
@@ -52,8 +52,9 @@ type response struct {
 // transaction. This is the software-visible analogue of jumping to the
 // recovery code registered with initMTX (§3.1).
 type Env struct {
-	sys *System
-	c   *core
+	sys   *System
+	c     *core
+	yield func(request) bool
 }
 
 // CoreID returns the simulated core this program runs on.
@@ -63,12 +64,11 @@ func (e *Env) CoreID() int { return e.c.id }
 func (e *Env) Now() int64 { return e.c.time }
 
 func (e *Env) rpc(r request) response {
-	e.c.req <- r
-	resp := <-e.c.resp
-	if resp.abort {
-		panic(abortSignal{cause: e.sys.abortCause})
+	if !e.yield(r) || e.c.resp.abort {
+		// The region aborted, or Run is unwinding its programs.
+		panic(abortSignal{})
 	}
-	return resp
+	return e.c.resp
 }
 
 // Load issues a load; inside a transaction it is speculative and validated

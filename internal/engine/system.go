@@ -74,19 +74,23 @@ type core struct {
 	finish int64
 	done   bool
 
-	req  chan request
-	resp chan response
+	// next resumes the core's program coroutine until it issues its next
+	// request (coro.go); stop unwinds it while it is suspended. pendingReq
+	// is the request it is suspended on, resp the answer it reads when
+	// next resumes it.
+	next       func() (request, bool)
+	stop       func()
+	pendingReq request
+	resp       response
 
 	parked    parkKind
 	parkedReq request
 	parkedAt  int64 // core clock when it parked (commit-stall accounting)
-
-	// pendingReq is the core's next request, received eagerly by the
-	// scheduler as soon as the program goroutine issued it. A core whose
-	// program is between requests never runs concurrently with another:
-	// the scheduler hands execution to exactly one goroutine at a time.
-	pendingReq request
-	hasReq     bool
+	// waitSeq is the commit frontier that releases a core parked on the
+	// commit sequence; waitEpoch is the VID epoch a reset-stalled Begin
+	// needs. Both are computed once, at park time (sched.go).
+	waitSeq   vid.Seq
+	waitEpoch uint64
 
 	curSeq vid.Seq
 	// curTx caches the txStats of curSeq. It is set at beginMTX, cleared
@@ -99,6 +103,9 @@ type core struct {
 	// fast-path checks but the memory system refused TryLocalLoad; the
 	// coordinator must handle it serially (and clears the flag).
 	fastFailed bool
+	// crash is a panic value a program raised on a domain worker, which
+	// the coordinator re-raises after the round (domains.go).
+	crash any
 
 	// Branch predictor: per-site 2-bit saturating counters.
 	pred map[uint64]uint8
@@ -121,6 +128,9 @@ type queue struct {
 	items       []qItem
 	closed      bool
 	lastPopTime int64
+
+	// consumers and producers are the cores parked on this queue.
+	consumers, producers []*core
 }
 
 // txStats tracks one in-flight transaction's speculative footprint.
@@ -140,6 +150,13 @@ type System struct {
 	cfg   Config
 	Mem   *memsys.Hierarchy
 	cores []*core
+	live  []*core // the cores of the current run
+
+	// The scheduler (sched.go): runnable cores by coreKey, cores parked on
+	// the commit sequence by release frontier, and the wake candidates.
+	runq    coreHeap
+	seqWait coreHeap
+	cand    coreSet
 
 	queues map[int]*queue
 	txs    map[vid.Seq]*txStats
@@ -203,13 +220,12 @@ func New(cfg Config) *System {
 		liveSeq: make(map[vid.Seq]int),
 		rng:     rand.New(src),
 		rngSrc:  src,
+		cand:    newCoreSet(cfg.Mem.Cores),
 	}
 	s.Mem.SetTracker((*sysTracker)(s))
 	for i := 0; i < cfg.Mem.Cores; i++ {
 		s.cores = append(s.cores, &core{
 			id:   i,
-			req:  make(chan request),
-			resp: make(chan response),
 			pred: make(map[uint64]uint8),
 		})
 	}
@@ -222,13 +238,17 @@ func (s *System) Stats() *Stats { return &s.stats }
 // LastCommitted returns the last durable transaction sequence number.
 func (s *System) LastCommitted() vid.Seq { return s.lastCommitted }
 
-// abortSignal unwinds a program when the region aborts.
-type abortSignal struct{ cause string }
+// abortSignal unwinds a program when the region aborts or Run stops it.
+type abortSignal struct{}
 
 // Run executes the given programs, one per core starting at core 0, until
 // they all finish or the region aborts. Core clocks restart at zero for each
 // run; committed memory state, statistics and transaction numbering persist
 // across runs, so a caller can re-execute after an abort.
+//
+// A program that panics (other than by the engine's own abort unwinding)
+// makes Run panic with the same value on the caller's goroutine, as does a
+// deadlock; either way every other program is unwound first.
 func (s *System) Run(programs []Program) RunResult {
 	if len(programs) == 0 || len(programs) > len(s.cores) {
 		panic(fmt.Sprintf("engine: %d programs for %d cores", len(programs), len(s.cores)))
@@ -243,40 +263,34 @@ func (s *System) Run(programs []Program) RunResult {
 	s.queues = make(map[int]*queue)
 	s.nLive = len(programs)
 	live := s.cores[:len(programs)]
+	s.live = live
 	for _, c := range live {
 		c.time, c.finish, c.done, c.parked, c.curSeq = 0, 0, false, parkNone, 0
-		c.hasReq = false
 		c.curTx = nil
 		c.fastFailed = false
+		c.crash = nil
 	}
 	clear(s.liveSeq)
-	// Launch the program goroutines one at a time, receiving each core's
-	// first request before starting the next. Together with receive()
-	// below this serialises all user code: exactly one program goroutine
-	// executes between scheduler events, so programs may share host-side
-	// state (test closures, read-only tables) without data races, and the
-	// interleaving is fully deterministic for a given Config.Seed.
+	s.runq, s.seqWait = s.runq[:0], s.seqWait[:0]
+	clear(s.cand)
+	defer s.stopPrograms()
+	// Start the program coroutines one at a time, running each to its
+	// first request before starting the next. A coroutine runs only while
+	// the scheduler waits in its next call, so exactly one program executes
+	// between scheduler events: programs may share host-side state (test
+	// closures, read-only tables) without data races, and the interleaving
+	// is fully deterministic for a given Config.Seed.
 	for i, p := range programs {
 		c := live[i]
-		prog := p
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(abortSignal); !ok {
-						panic(r)
-					}
-				}
-				c.req <- request{kind: reqDone}
-			}()
-			prog(&Env{sys: s, c: c})
-		}()
-		s.receive(c)
+		s.start(c, p)
+		s.resume(c)
+		s.runq.push(coreKey(c), c)
 	}
 
 	if s.useRounds() {
 		s.runRounds(live)
 	} else {
-		s.runSerial(live)
+		s.runSerial()
 	}
 
 	var cycles int64
@@ -301,57 +315,6 @@ func (s *System) Run(programs []Program) RunResult {
 		Cause:         s.abortCause,
 		LastCommitted: s.lastCommitted,
 	}
-}
-
-// runSerial is the original single-loop scheduler: one event at a time, the
-// earliest-clock runnable core first. It is the reference implementation the
-// parallel scheduler (domains.go) must match byte-for-byte.
-func (s *System) runSerial(live []*core) {
-	for s.nLive > 0 {
-		c := s.pickRunnable(live)
-		if c == nil {
-			s.dumpDeadlock(live)
-		}
-		r := c.pendingReq
-		c.hasReq = false
-		s.handle(c, r)
-		if !c.done && c.parked == parkNone {
-			// handle responded: the program is running again. Wait
-			// for its next request so no user code runs concurrently
-			// with whichever core the scheduler picks next.
-			s.receive(c)
-		}
-		s.retryParked(live)
-	}
-}
-
-// receive blocks until core c's program issues its next request, letting its
-// goroutine run user code up to that point. It must only be called when c's
-// goroutine is the one executing (just launched, or just sent a response).
-func (s *System) receive(c *core) {
-	c.pendingReq = <-c.req
-	c.hasReq = true
-}
-
-func (s *System) pickRunnable(live []*core) *core {
-	var best *core
-	for _, c := range live {
-		if c.done || c.parked != parkNone || !c.hasReq {
-			continue
-		}
-		if best == nil || c.time < best.time {
-			best = c
-		}
-	}
-	return best
-}
-
-func (s *System) dumpDeadlock(live []*core) {
-	msg := "engine: deadlock: all cores parked:"
-	for _, c := range live {
-		msg += fmt.Sprintf(" core%d(done=%v park=%d seq=%d)", c.id, c.done, c.parked, c.curSeq)
-	}
-	panic(msg)
 }
 
 func (s *System) hwVID(q vid.Seq) vid.V {
@@ -399,7 +362,7 @@ func (s *System) handle(c *core, r request) {
 		return
 	}
 	if s.aborting {
-		c.resp <- response{abort: true}
+		s.respond(c, response{abort: true})
 		return
 	}
 	switch r.kind {
@@ -420,7 +383,7 @@ func (s *System) handle(c *core, r request) {
 			s.triggerAbort(res.Cause, c)
 			return
 		}
-		c.resp <- response{val: val}
+		s.respond(c, response{val: val})
 
 	case reqStore:
 		hw := s.hwVID(c.curSeq)
@@ -439,7 +402,7 @@ func (s *System) handle(c *core, r request) {
 			s.triggerAbort(res.Cause, c)
 			return
 		}
-		c.resp <- response{}
+		s.respond(c, response{})
 
 	case reqCompute:
 		c.time += int64(r.val)
@@ -450,23 +413,23 @@ func (s *System) handle(c *core, r request) {
 		if s.lat.Enabled() && r.tag == prof.Validation {
 			s.lat.Validation.Observe(r.val)
 		}
-		c.resp <- response{}
+		s.respond(c, response{})
 
 	case reqBranch:
 		if !s.branch(c, r) {
 			return // aborted inside the branch (SLA-disabled mode)
 		}
-		c.resp <- response{}
+		s.respond(c, response{})
 
 	case reqBegin:
 		if !s.begin(c, r) {
 			return // parked on a VID-reset stall (§4.6)
 		}
-		c.resp <- response{}
+		s.respond(c, response{})
 
 	case reqCommit:
 		if r.seq != s.lastCommitted+1 {
-			s.park(c, parkCommit, r)
+			s.park(c, parkCommit, r, r.seq-1)
 			return
 		}
 		if s.lat.Enabled() {
@@ -475,7 +438,7 @@ func (s *System) handle(c *core, r request) {
 			s.lat.CommitArb.Observe(0)
 		}
 		s.doCommit(c, r.seq)
-		c.resp <- response{}
+		s.respond(c, response{})
 
 	case reqAbortTx:
 		if s.conflicts.Enabled() {
@@ -488,7 +451,7 @@ func (s *System) handle(c *core, r request) {
 	case reqProduce:
 		q := s.queue(r.q)
 		if len(q.items) >= s.cfg.QueueCap {
-			s.park(c, parkProduce, r)
+			s.park(c, parkProduce, r, 0)
 			return
 		}
 		s.doProduce(c, q, r.val)
@@ -496,7 +459,7 @@ func (s *System) handle(c *core, r request) {
 			s.tracer.SetTime(c.time)
 			s.tracer.Emit(obs.Event{Kind: obs.KQueueProduce, Core: int32(c.id), Arg: uint64(r.q)})
 		}
-		c.resp <- response{}
+		s.respond(c, response{})
 
 	case reqConsume:
 		q := s.queue(r.q)
@@ -507,15 +470,17 @@ func (s *System) handle(c *core, r request) {
 				s.tracer.SetTime(c.time)
 				s.tracer.Emit(obs.Event{Kind: obs.KQueueConsume, Core: int32(c.id), Arg: uint64(r.q)})
 			}
-			c.resp <- response{val: val, ok: true}
+			s.respond(c, response{val: val, ok: true})
 		case q.closed:
-			c.resp <- response{ok: false}
+			s.respond(c, response{ok: false})
 		default:
-			s.park(c, parkConsume, r)
+			s.park(c, parkConsume, r, 0)
 		}
 
 	case reqClose:
-		s.queue(r.q).closed = true
+		q := s.queue(r.q)
+		q.closed = true
+		s.markAll(q.consumers)
 		c.time += s.cfg.QueueOpCost
 		if s.prof.Enabled() {
 			s.prof.Charge(c.id, uint64(c.curSeq), prof.Compute, s.cfg.QueueOpCost)
@@ -524,17 +489,17 @@ func (s *System) handle(c *core, r request) {
 			s.tracer.SetTime(c.time)
 			s.tracer.Emit(obs.Event{Kind: obs.KQueueClose, Core: int32(c.id), Arg: uint64(r.q)})
 		}
-		c.resp <- response{}
+		s.respond(c, response{})
 
 	case reqAwait:
 		if s.lastCommitted >= r.seq {
-			c.resp <- response{}
+			s.respond(c, response{})
 			return
 		}
-		s.park(c, parkAwait, r)
+		s.park(c, parkAwait, r, r.seq)
 
 	case reqTxInfo:
-		c.resp <- response{val: s.txInfo(c)}
+		s.respond(c, response{val: s.txInfo(c)})
 
 	default:
 		panic(fmt.Sprintf("engine: unknown request kind %d", r.kind))
@@ -572,6 +537,7 @@ func (s *System) queue(id int) *queue {
 
 func (s *System) doProduce(c *core, q *queue, val uint64) {
 	q.items = append(q.items, qItem{val: val, ready: c.time + s.cfg.QueueLat})
+	s.markAll(q.consumers)
 	c.time += s.cfg.QueueOpCost
 	s.stats.Instructions++
 	if s.prof.Enabled() {
@@ -582,6 +548,7 @@ func (s *System) doProduce(c *core, q *queue, val uint64) {
 func (s *System) doConsume(c *core, q *queue) uint64 {
 	it := q.items[0]
 	q.items = q.items[1:]
+	s.markAll(q.producers)
 	if it.ready > c.time {
 		if s.prof.Enabled() {
 			s.prof.Charge(c.id, uint64(c.curSeq), prof.QueueWait, it.ready-c.time)
@@ -608,43 +575,54 @@ func (s *System) begin(c *core, r request) bool {
 			// stall the paper's VID-width trade-off is about.
 			firstOfEpoch := vid.Seq(needEpoch * s.cfg.Mem.VIDSpace.PerEpoch())
 			if s.lastCommitted < firstOfEpoch {
-				s.park(c, parkEpoch, r)
+				c.waitEpoch = needEpoch
+				s.park(c, parkEpoch, r, firstOfEpoch)
 				return false
 			}
-			res := s.Mem.VIDReset()
-			c.time += res.Lat
-			if s.prof.Enabled() {
-				// Epoch machinery, not any one transaction's work:
-				// charge to seq 0 so it never folds into wasted.
-				s.prof.Charge(c.id, 0, prof.CommitStall, res.Lat)
-			}
+			s.resetVIDs(c)
 		}
 	}
+	s.enter(c, r.seq)
+	return true
+}
+
+// resetVIDs performs the VID reset (§4.6) on behalf of core c.
+func (s *System) resetVIDs(c *core) {
+	res := s.Mem.VIDReset()
+	c.time += res.Lat
+	if s.prof.Enabled() {
+		// Epoch machinery, not any one transaction's work: charge to
+		// seq 0 so it never folds into wasted.
+		s.prof.Charge(c.id, 0, prof.CommitStall, res.Lat)
+	}
+}
+
+// enter makes seq core c's current transaction (0: non-speculative).
+func (s *System) enter(c *core, seq vid.Seq) {
 	if c.curSeq != 0 {
 		s.seqRelease(c.curSeq)
 	}
-	if r.seq != 0 {
-		s.liveSeq[r.seq]++
+	if seq != 0 {
+		s.liveSeq[seq]++
 	}
-	c.curSeq = r.seq
+	c.curSeq = seq
 	c.curTx = nil
 	c.time++ // the beginMTX instruction itself
 	s.stats.Instructions++
 	if s.prof.Enabled() {
-		s.prof.Charge(c.id, uint64(r.seq), prof.Compute, 1)
+		s.prof.Charge(c.id, uint64(seq), prof.Compute, 1)
 	}
-	if r.seq != 0 {
-		t := s.tx(r.seq)
+	if seq != 0 {
+		t := s.tx(seq)
 		c.curTx = t
 		if !t.begun {
 			t.begun, t.beginAt = true, c.time
 		}
 		if s.tracer.Enabled(obs.CatTxn) {
 			s.tracer.SetTime(c.time)
-			s.tracer.Emit(obs.Event{Kind: obs.KTxBegin, Core: int32(c.id), VID: uint64(r.seq)})
+			s.tracer.Emit(obs.Event{Kind: obs.KTxBegin, Core: int32(c.id), VID: uint64(seq)})
 		}
 	}
-	return true
 }
 
 func (s *System) doCommit(c *core, seq vid.Seq) {
@@ -655,6 +633,7 @@ func (s *System) doCommit(c *core, seq vid.Seq) {
 		s.prof.Charge(c.id, uint64(seq), prof.Commit, res.Lat)
 	}
 	s.lastCommitted = seq
+	s.markCommitted()
 	if c.time > s.lastCommitTime {
 		s.lastCommitTime = c.time
 	}
@@ -788,137 +767,8 @@ func (s *System) triggerAbort(cause string, c *core) {
 	for _, d := range s.cores {
 		d.curTx = nil
 	}
-	c.resp <- response{abort: true}
-}
-
-// retryParked re-examines parked cores after every event, waking those whose
-// condition now holds. Iteration repeats until a fixed point so that chains
-// (commit unblocking commit unblocking a VID reset) resolve in one pass.
-// Every response is immediately followed by receive(), so a woken program
-// runs alone until it issues its next request — the serialisation invariant
-// of Run holds here too.
-func (s *System) retryParked(live []*core) {
-	for changed := true; changed; {
-		changed = false
-		for _, c := range live {
-			if c.parked == parkNone || c.done {
-				continue
-			}
-			if s.aborting {
-				c.parked = parkNone
-				c.resp <- response{abort: true}
-				s.receive(c)
-				changed = true
-				continue
-			}
-			r := c.parkedReq
-			switch c.parked {
-			case parkConsume:
-				q := s.queue(r.q)
-				if len(q.items) > 0 {
-					c.parked = parkNone
-					val := s.doConsume(c, q)
-					if s.tracer.Enabled(obs.CatQueue) {
-						s.tracer.SetTime(c.time)
-						s.tracer.Emit(obs.Event{Kind: obs.KQueueConsume, Core: int32(c.id), Arg: uint64(r.q)})
-					}
-					c.resp <- response{val: val, ok: true}
-					s.receive(c)
-					changed = true
-				} else if q.closed {
-					c.parked = parkNone
-					c.resp <- response{ok: false}
-					s.receive(c)
-					changed = true
-				}
-			case parkProduce:
-				q := s.queue(r.q)
-				if len(q.items) < s.cfg.QueueCap {
-					c.parked = parkNone
-					if q.lastPopTime > c.time {
-						if s.prof.Enabled() {
-							s.prof.Charge(c.id, uint64(c.curSeq), prof.QueueWait, q.lastPopTime-c.time)
-						}
-						c.time = q.lastPopTime
-					}
-					s.doProduce(c, q, r.val)
-					if s.tracer.Enabled(obs.CatQueue) {
-						s.tracer.SetTime(c.time)
-						s.tracer.Emit(obs.Event{Kind: obs.KQueueProduce, Core: int32(c.id), Arg: uint64(r.q)})
-					}
-					c.resp <- response{}
-					s.receive(c)
-					changed = true
-				}
-			case parkCommit:
-				if r.seq == s.lastCommitted+1 {
-					c.parked = parkNone
-					if s.lastCommitTime > c.time {
-						if s.prof.Enabled() {
-							s.prof.Charge(c.id, uint64(r.seq), prof.CommitStall, s.lastCommitTime-c.time)
-						}
-						c.time = s.lastCommitTime
-					}
-					stall := c.time - c.parkedAt
-					if stall < 0 {
-						stall = 0
-					}
-					s.stats.CommitStallCycles += uint64(stall)
-					if s.lat.Enabled() {
-						s.lat.CommitArb.Observe(uint64(stall))
-					}
-					if s.tracer.Enabled(obs.CatCommit) {
-						s.tracer.SetTime(c.time)
-						s.tracer.Emit(obs.Event{Kind: obs.KCommitResume, Core: int32(c.id), VID: uint64(r.seq), Arg: uint64(stall)})
-					}
-					s.doCommit(c, r.seq)
-					c.resp <- response{}
-					s.receive(c)
-					changed = true
-				}
-			case parkAwait:
-				if s.lastCommitted >= r.seq {
-					c.parked = parkNone
-					if s.lastCommitTime > c.time {
-						if s.prof.Enabled() {
-							s.prof.Charge(c.id, 0, prof.CommitStall, s.lastCommitTime-c.time)
-						}
-						c.time = s.lastCommitTime
-					}
-					c.resp <- response{}
-					s.receive(c)
-					changed = true
-				}
-			case parkEpoch:
-				needEpoch := s.cfg.Mem.VIDSpace.Epoch(r.seq)
-				firstOfEpoch := vid.Seq(needEpoch * s.cfg.Mem.VIDSpace.PerEpoch())
-				if s.lastCommitted >= firstOfEpoch {
-					c.parked = parkNone
-					if s.lastCommitTime > c.time {
-						if s.prof.Enabled() {
-							s.prof.Charge(c.id, 0, prof.CommitStall, s.lastCommitTime-c.time)
-						}
-						c.time = s.lastCommitTime
-					}
-					if s.begin(c, r) {
-						c.resp <- response{}
-						s.receive(c)
-					}
-					changed = true
-				}
-			}
-		}
-	}
-}
-
-func (s *System) park(c *core, k parkKind, r request) {
-	c.parked = k
-	c.parkedReq = r
-	c.parkedAt = c.time
-	if k == parkCommit && s.tracer.Enabled(obs.CatCommit) {
-		s.tracer.SetTime(c.time)
-		s.tracer.Emit(obs.Event{Kind: obs.KCommitStall, Core: int32(c.id), VID: uint64(r.seq)})
-	}
+	s.markAborted()
+	s.respond(c, response{abort: true})
 }
 
 // sysTracker implements memsys.Tracker on System.
