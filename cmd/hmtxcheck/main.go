@@ -12,9 +12,14 @@
 //	          [-max-states N] [-max-depth N] [-inject BUG]
 //	          [-json FILE] [-emit-ckpt FILE] [-q]
 //
+// -max-states is checked before each node is expanded, so a truncated run
+// ends with the cap plus the new successors of the last node it expanded
+// (-max-states 50 at the default bounds ends with 53 states).
+//
 // Exit status: 0 for a clean run, 1 for a property violation, 2 for usage
-// errors. Output is deterministic: the same bounds always produce the same
-// bytes, so CI can diff reports across runs.
+// errors, including a count flag below 1 (a zero would otherwise silently
+// select the default). Output is deterministic: the same bounds always
+// produce the same bytes, so CI can diff reports across runs.
 package main
 
 import (
@@ -44,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&cfg.Evict, "evict", false, "include forced evictions (§5.4 capacity pressure)")
 	fs.IntVar(&cfg.L1Ways, "l1ways", 2, "L1 ways (single set)")
 	fs.IntVar(&cfg.L2Ways, "l2ways", 4, "L2 ways (single set)")
-	fs.IntVar(&cfg.MaxStates, "max-states", check.DefaultMaxStates, "visited-state cap (truncates the search)")
+	fs.IntVar(&cfg.MaxStates, "max-states", check.DefaultMaxStates, "state cap, checked before each node is expanded: the search stops once `N` states are visited, after the last expanded node added its new successors, so a truncated run can end with more than N (0 = the default)")
 	fs.IntVar(&cfg.MaxDepth, "max-depth", 0, "BFS depth cap (0 = unbounded)")
 	fs.StringVar(&cfg.InjectBug, "inject", "", "re-introduce a fixed protocol bug (memsys.Bug* name) to validate the checker")
 	jsonOut := fs.String("json", "", "also write the summary as JSON to this file")
@@ -56,6 +61,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() != 0 {
 		fmt.Fprintln(stderr, "hmtxcheck: unexpected arguments; bounds are set by flags")
 		return 2
+	}
+	// check.Config reads a zero bound as "use the default", so an explicit
+	// zero (or a negative count) given here would silently run other
+	// bounds; reject it instead. Upper limits are check.Config.Validate's.
+	for _, b := range []struct {
+		flag     string
+		val, min int
+	}{
+		{"cores", cfg.Cores, 1}, {"addrs", cfg.Addrs, 1}, {"vids", cfg.VIDs, 1},
+		{"store-vals", *storeVals, 1}, {"l1ways", cfg.L1Ways, 1}, {"l2ways", cfg.L2Ways, 1},
+		{"max-states", cfg.MaxStates, 0}, {"max-depth", cfg.MaxDepth, 0},
+	} {
+		if b.val < b.min {
+			fmt.Fprintf(stderr, "hmtxcheck: -%s must be at least %d, got %d\n", b.flag, b.min, b.val)
+			return 2
+		}
 	}
 	cfg.StoreVals = uint64(*storeVals)
 

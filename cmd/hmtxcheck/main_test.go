@@ -72,3 +72,39 @@ func TestUsageErrors(t *testing.T) {
 		t.Fatal("positional arguments must exit 2")
 	}
 }
+
+// TestBadBounds: a count flag below its minimum — including an explicit 0,
+// which check.Config would silently replace by the default — exits 2 with
+// one error line naming the flag and the value given, and no panic.
+func TestBadBounds(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-cores", "0", "-max-states", "50"}, "-cores must be at least 1, got 0"},
+		{[]string{"-addrs", "0"}, "-addrs must be at least 1, got 0"},
+		{[]string{"-vids", "0"}, "-vids must be at least 1, got 0"},
+		{[]string{"-store-vals", "0"}, "-store-vals must be at least 1, got 0"},
+		{[]string{"-store-vals", "-1"}, "-store-vals must be at least 1, got -1"},
+		{[]string{"-l1ways", "0"}, "-l1ways must be at least 1, got 0"},
+		{[]string{"-l2ways", "0"}, "-l2ways must be at least 1, got 0"},
+		{[]string{"-max-states", "-1"}, "-max-states must be at least 0, got -1"},
+		{[]string{"-max-depth", "-2"}, "-max-depth must be at least 0, got -2"},
+	} {
+		t.Run(strings.Join(tc.args, "_"), func(t *testing.T) {
+			code, out, stderr := runMain(t, tc.args...)
+			if code != 2 {
+				t.Fatalf("exit=%d, want 2\nstdout:\n%s", code, out)
+			}
+			if want := "hmtxcheck: " + tc.want + "\n"; stderr != want {
+				t.Fatalf("stderr %q, want %q", stderr, want)
+			}
+			if strings.Contains(stderr, "goroutine ") {
+				t.Fatalf("stderr holds a panic trace:\n%s", stderr)
+			}
+			if out != "" {
+				t.Fatalf("a rejected run wrote a report:\n%s", out)
+			}
+		})
+	}
+}

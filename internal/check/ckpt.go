@@ -41,12 +41,11 @@ func (c Config) ReplayTo(steps []Stimulus, k int) (*memsys.Hierarchy, int, error
 	if k > len(steps) {
 		k = len(steps)
 	}
-	h := memsys.New(cfg.memsysConfig())
-	o := newOracle(cfg.Addrs, cfg.VIDs)
+	m := cfg.newMachine()
 	for i := 0; i < k; i++ {
-		if _, err := cfg.applyStimulus(h, o, steps[i]); err != nil {
-			return h, i + 1, err
+		if _, err := cfg.applyStimulus(m, steps[i]); err != nil {
+			return m.h, i + 1, err
 		}
 	}
-	return h, k, nil
+	return m.h, k, nil
 }

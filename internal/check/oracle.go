@@ -38,11 +38,11 @@ func newOracle(addrs, vids int) *oracle {
 	return o
 }
 
-func (o *oracle) clone() *oracle {
-	c := &oracle{addrs: o.addrs, vids: o.vids}
-	c.committed = append([]uint64(nil), o.committed...)
-	c.pending = append([]int64(nil), o.pending...)
-	return c
+// cloneInto overwrites dst, an oracle of the same bounds, with a copy of o.
+func (o *oracle) cloneInto(dst *oracle) {
+	dst.addrs, dst.vids = o.addrs, o.vids
+	copy(dst.committed, o.committed)
+	copy(dst.pending, o.pending)
 }
 
 // visible returns the value a load with effective VID a must observe at

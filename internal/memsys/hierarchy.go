@@ -1092,16 +1092,21 @@ func (h *Hierarchy) PokeWord(addr Addr, val uint64) {
 // addr held by the given cache (0..Cores-1 are the L1s, Cores is the L2),
 // for tests and the cachetrace example.
 func (h *Hierarchy) Versions(cacheIdx int, addr Addr) []Line {
+	return h.AppendVersions(nil, cacheIdx, addr)
+}
+
+// AppendVersions is Versions appending to dst, so a caller that reuses dst
+// does not allocate.
+func (h *Hierarchy) AppendVersions(dst []Line, cacheIdx int, addr Addr) []Line {
 	c := h.all[cacheIdx]
 	la := LineAddr(addr)
 	s := c.set(la)
-	var out []Line
 	for i := range s {
 		if s[i].St != Invalid && s[i].Tag == la {
-			out = append(out, s[i])
+			dst = append(dst, s[i])
 		}
 	}
-	return out
+	return dst
 }
 
 // FlushCommitted writes every dirty non-speculative line back to memory so

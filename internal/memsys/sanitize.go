@@ -1,8 +1,9 @@
 package memsys
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"hmtx/internal/vid"
@@ -72,6 +73,15 @@ type sanitizer struct {
 	// deliberately tears the version chain: the evicted line is dropped
 	// and an abort is forced) and the AbortAll that repairs it.
 	muted bool
+
+	// Scratch reused across checks, so a check on a warm hierarchy does
+	// not allocate. views and its partitions belong to checkLine; tags and
+	// tagSeen to CheckInvariants, which AbortAll runs in the middle of an
+	// operation whose touch set (touched, seen) is still live.
+	views                   []sanView
+	nonSpec, owners, copies []*sanView
+	tags                    []Addr
+	tagSeen                 map[Addr]struct{}
 }
 
 // InvariantViolation describes a failed MOESI-San assertion.
@@ -140,8 +150,12 @@ func (h *Hierarchy) sanCheck() {
 // returns nil when all invariants hold. Tests may call it directly; AbortAll
 // runs it automatically under Config.Sanitize.
 func (h *Hierarchy) CheckInvariants() error {
-	var tags []Addr
-	seen := make(map[Addr]struct{})
+	tags := h.san.tags[:0]
+	if h.san.tagSeen == nil {
+		h.san.tagSeen = make(map[Addr]struct{})
+	}
+	seen := h.san.tagSeen
+	clear(seen)
 	for _, c := range h.allCaches() {
 		for si := range c.sets {
 			if err := h.checkSet(c, si); err != nil {
@@ -159,7 +173,8 @@ func (h *Hierarchy) CheckInvariants() error {
 			}
 		}
 	}
-	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
+	h.san.tags = tags
+	slices.Sort(tags)
 	for _, la := range tags {
 		if err := h.checkLine(la); err != nil {
 			return err
@@ -234,11 +249,11 @@ type sanView struct {
 
 func (v *sanView) String() string { return fmt.Sprintf("%s:%v", v.cache, &v.view) }
 
-// lineViews gathers a settled copy of every resident version of la. The
-// resident frames are not modified.
+// lineViews gathers a settled copy of every resident version of la into the
+// sanitizer's views scratch. The resident frames are not modified.
 func (h *Hierarchy) lineViews(la Addr) []sanView {
 	maxV := h.cfg.VIDSpace.Max()
-	var out []sanView
+	out := h.san.views[:0]
 	for _, c := range h.allCaches() {
 		set := c.sets[c.setIndex(la)]
 		for wi := range set {
@@ -253,6 +268,7 @@ func (h *Hierarchy) lineViews(la Addr) []sanView {
 			out = append(out, sanView{cache: c.name, view: cp})
 		}
 	}
+	h.san.views = out
 	return out
 }
 
@@ -348,7 +364,7 @@ func (h *Hierarchy) checkLine(la Addr) error {
 	}
 
 	// Partition the views.
-	var nonSpec, owners, copies []*sanView
+	nonSpec, owners, copies := h.san.nonSpec[:0], h.san.owners[:0], h.san.copies[:0]
 	for i := range views {
 		v := &views[i]
 		switch {
@@ -360,6 +376,7 @@ func (h *Hierarchy) checkLine(la Addr) error {
 			owners = append(owners, v)
 		}
 	}
+	h.san.nonSpec, h.san.owners, h.san.copies = nonSpec, owners, copies
 
 	// Invariant 6: exclusivity of ownership.
 	if len(owners) > 0 && len(nonSpec) > 0 {
@@ -393,7 +410,7 @@ func (h *Hierarchy) checkLine(la Addr) error {
 	}
 
 	// Invariants 4 and 5: version uniqueness and non-overlap among owners.
-	sort.SliceStable(owners, func(i, j int) bool { return owners[i].view.Mod < owners[j].view.Mod })
+	slices.SortStableFunc(owners, func(a, b *sanView) int { return cmp.Compare(a.view.Mod, b.view.Mod) })
 	latest := 0
 	for _, v := range owners {
 		if v.view.St.latest() {

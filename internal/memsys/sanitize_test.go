@@ -244,3 +244,24 @@ func TestHierarchyDump(t *testing.T) {
 		}
 	}
 }
+
+// TestSanitizedCheckDoesNotAllocate: MOESI-San keeps its scratch in the
+// hierarchy, so a sanitized Load and a whole-hierarchy CheckInvariants on a
+// warm hierarchy allocate nothing. The model checker runs both on every
+// edge.
+func TestSanitizedCheckDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-runtime shadow allocations break AllocsPerRun; contract pinned in non-race runs")
+	}
+	h := buildSnapState(t)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, res := h.Load(1, addrA, 2); res.Conflict {
+			t.Fatal("unexpected conflict")
+		}
+		if err := h.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("sanitized Load + CheckInvariants made %v allocations, want 0", n)
+	}
+}

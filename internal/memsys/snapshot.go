@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/fnv"
-	"sort"
+	"slices"
 
 	"hmtx/internal/vid"
 )
@@ -12,7 +12,9 @@ import (
 // This file gives the hierarchy the snapshot support the model checker
 // (internal/check) is built on: deep copies, so every explored edge can fork
 // the simulator, and a canonical state encoding, so semantically equivalent
-// configurations collapse into one visited-set entry (DESIGN.md §12).
+// configurations collapse into one visited-set entry (DESIGN.md §12). Both
+// are allocation-free once their destinations are warm: the checker copies
+// each edge into a pooled hierarchy and encodes it into a reused buffer.
 //
 // The statefp analyzer (tools/analyzers/statefp) keeps these methods honest:
 // every field of a struct with a clone/canonical method must be referenced in
@@ -25,77 +27,96 @@ import (
 // scratch. Statistics and LRU/generation bookkeeping are copied, so a clone
 // behaves cycle-identically to the original under the same stimuli.
 func (h *Hierarchy) Clone() *Hierarchy {
-	c := &Hierarchy{
-		cfg:             h.cfg,
-		mem:             h.mem.clone(),
-		lc:              h.lc,
-		epoch:           h.epoch,
-		stats:           h.stats,
-		gen:             h.gen,
-		pendingOverflow: h.pendingOverflow,
-		pres:            make(map[Addr]presMask, len(h.pres)),
-		tracker:         nil,
-		tracer:          nil,
-		prof:            nil,
-		conflicts:       nil,
-		histLoadLat:     nil,
-		histStoreLat:    nil,
-		san:             sanitizer{},
-	}
-	for a, m := range h.pres {
-		c.pres[a] = m
-	}
-	for _, l1 := range h.l1s {
-		c.l1s = append(c.l1s, l1.clone(c))
-	}
-	c.l2 = h.l2.clone(c)
-	c.all = append(append([]*cache{}, c.l1s...), c.l2)
+	c := New(h.cfg)
+	h.cloneInto(c)
 	return c
 }
 
-// clone deep-copies one cache level, re-homing it onto hierarchy h.
-func (c *cache) clone(h *Hierarchy) *cache {
-	cp := &cache{
-		name:     c.name,
-		id:       c.id,
-		hier:     h,
-		numSets:  c.numSets,
-		ways:     c.ways,
-		hits:     c.hits,
-		lruClock: c.lruClock,
+// CloneInto overwrites dst with a deep copy of h, exactly as Clone would
+// build it, reusing dst's storage. dst must have been built by New with the
+// same Config as h (typically an earlier clone target); it panics otherwise.
+func (h *Hierarchy) CloneInto(dst *Hierarchy) {
+	if dst == h || dst.cfg != h.cfg {
+		panic("memsys: CloneInto needs a distinct hierarchy built with the same Config")
 	}
-	// One backing array for every allocated set: a clone costs the same
-	// number of allocations whatever the cache size or how many sets are
-	// filled, which matters because the model checker clones per edge.
-	n := 0
-	for _, s := range c.sets {
-		if s != nil {
-			n++
-		}
-	}
-	frames := make([]Line, 0, n*c.ways)
-	cp.sets = make([][]Line, len(c.sets))
-	for i, s := range c.sets {
-		if s != nil {
-			lo := len(frames)
-			frames = append(frames, s...)
-			cp.sets[i] = frames[lo:len(frames):len(frames)]
-		}
-	}
-	cp.meta = append([]setMeta(nil), c.meta...)
-	cp.dirty = append([]uint64(nil), c.dirty...)
-	cp.spec = c.spec
-	return cp
+	h.cloneInto(dst)
 }
 
-// clone deep-copies the simulated main memory.
-func (m *memory) clone() *memory {
-	cp := newMemory()
-	for a, data := range m.lines {
-		cp.lines[a] = data
+// cloneInto is the one deep-copy path behind Clone and CloneInto. dst keeps
+// its own set frames, bookkeeping slices, maps and sanitizer scratch and
+// loses its observers; everything else is overwritten from h.
+func (h *Hierarchy) cloneInto(dst *Hierarchy) {
+	h.mem.cloneInto(dst.mem)
+	dst.lc = h.lc
+	dst.epoch = h.epoch
+	dst.stats = h.stats
+	dst.gen = h.gen
+	dst.pendingOverflow = h.pendingOverflow
+	clear(dst.pres)
+	for a, m := range h.pres {
+		dst.pres[a] = m
 	}
-	return cp
+	dst.tracker = nil
+	dst.tracer = nil
+	dst.prof = nil
+	dst.conflicts = nil
+	dst.histLoadLat = nil
+	dst.histStoreLat = nil
+	dst.san.muted = false
+	for i, c := range h.all {
+		c.cloneInto(dst.all[i])
+	}
 }
+
+// cloneInto overwrites dst, the same cache of another hierarchy built with
+// the same Config, with a deep copy of c. Frames are copied exactly, Invalid
+// ones included (their way position and stale LRU stamps decide pickVictim
+// ties), and a set stays unallocated exactly when it is in c. Sets that
+// must be allocated in dst share one backing array, so a copy into a fresh
+// cache costs one allocation whatever its size.
+func (c *cache) cloneInto(dst *cache) {
+	if dst.hier == c.hier || dst.name != c.name || dst.id != c.id || dst.numSets != c.numSets || dst.ways != c.ways {
+		panic("memsys: cache cloneInto across different geometries")
+	}
+	need := 0
+	for si, s := range c.sets {
+		if s != nil && dst.sets[si] == nil {
+			need++
+		}
+	}
+	var frames []Line
+	if need > 0 {
+		frames = make([]Line, need*c.ways)
+	}
+	for si, s := range c.sets {
+		switch {
+		case s == nil:
+			dst.sets[si] = nil
+			continue
+		case dst.sets[si] == nil:
+			dst.sets[si], frames = frames[:c.ways:c.ways], frames[c.ways:]
+		}
+		copy(dst.sets[si], s)
+	}
+	copy(dst.meta, c.meta)
+	copy(dst.dirty, c.dirty)
+	dst.spec = c.spec
+	dst.hits = c.hits
+	dst.lruClock = c.lruClock
+}
+
+// cloneInto overwrites dst with a deep copy of the simulated main memory.
+func (m *memory) cloneInto(dst *memory) {
+	clear(dst.lines)
+	for a, data := range m.lines {
+		dst.lines[a] = data
+	}
+}
+
+// canonLineSize is the fixed width of one line's canonical record
+// (Line.appendCanon): tag, three state bytes, four settle/shadow/rank
+// bytes, and the data.
+const canonLineSize = 8 + 3 + 4 + LineSize
 
 // AppendCanonical appends a canonical encoding of the hierarchy's semantic
 // state to buf and returns the result. Two hierarchies with equal encodings
@@ -119,6 +140,9 @@ func (m *memory) clone() *memory {
 // Main memory is encoded only for the given line addresses: callers must
 // pass (a superset of) every line their stimuli can touch. Cache-resident
 // state is always encoded in full.
+//
+// It allocates only to grow buf: the per-L1 encodings are staged in buf's
+// own spare capacity, sorted there by offset and moved into place.
 func (h *Hierarchy) AppendCanonical(buf []byte, addrs []Addr) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(h.lc))
 	if h.pendingOverflow {
@@ -126,15 +150,24 @@ func (h *Hierarchy) AppendCanonical(buf []byte, addrs []Addr) []byte {
 	} else {
 		buf = append(buf, 0)
 	}
-	encs := make([][]byte, 0, len(h.l1s))
+	// Stage each L1's encoding past the end of the output, then append
+	// them in sorted order, each with its length, and move the result
+	// down over the staging area.
+	stage := len(buf)
+	spans := make([][2]int, 0, 8) // [start, end) of each staged encoding
 	for _, c := range h.l1s {
-		encs = append(encs, c.appendCanon(nil))
+		lo := len(buf)
+		buf = c.appendCanon(buf)
+		spans = append(spans, [2]int{lo, len(buf)})
 	}
-	sort.Slice(encs, func(i, j int) bool { return bytes.Compare(encs[i], encs[j]) < 0 })
-	for _, e := range encs {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(len(e)))
-		buf = append(buf, e...)
+	slices.SortFunc(spans, func(a, b [2]int) int { return bytes.Compare(buf[a[0]:a[1]], buf[b[0]:b[1]]) })
+	out := len(buf)
+	for _, sp := range spans {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(sp[1]-sp[0]))
+		buf = append(buf, buf[sp[0]:sp[1]]...)
 	}
+	buf = buf[:stage+copy(buf[stage:], buf[out:])]
+
 	buf = h.l2.appendCanon(buf)
 	for _, la := range addrs {
 		la = LineAddr(la)
@@ -154,14 +187,19 @@ func (h *Hierarchy) Fingerprint(addrs []Addr) uint64 {
 	return f.Sum64()
 }
 
-// appendCanon encodes one cache level: per set, the sorted multiset of its
-// valid lines' canonical encodings.
+// appendCanon encodes one cache level: per set with valid lines, its index,
+// the line count and the sorted multiset of the lines' fixed-width records,
+// sorted in place.
 func (c *cache) appendCanon(buf []byte) []byte {
 	h := c.hier
-	var encs [][]byte
-	for si := range c.sets {
-		s := c.sets[si]
-		encs = encs[:0]
+	for si, s := range c.sets {
+		if s == nil {
+			continue
+		}
+		start := len(buf)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(si))
+		buf = append(buf, 0) // line count, filled in below
+		n := 0
 		for wi := range s {
 			if s[wi].St == Invalid {
 				continue
@@ -176,25 +214,43 @@ func (c *cache) appendCanon(buf []byte) []byte {
 					rank++
 				}
 			}
-			encs = append(encs, s[wi].appendCanon(nil, h.epoch, h.lc, rank))
+			buf = s[wi].appendCanon(buf, h.epoch, h.lc, rank)
+			n++
 		}
-		if len(encs) == 0 {
+		if n == 0 {
+			buf = buf[:start]
 			continue
 		}
-		sort.Slice(encs, func(i, j int) bool { return bytes.Compare(encs[i], encs[j]) < 0 })
-		buf = binary.BigEndian.AppendUint64(buf, uint64(si))
-		buf = append(buf, byte(len(encs)))
-		for _, e := range encs {
-			buf = append(buf, e...)
-		}
+		buf[start+8] = byte(n)
+		sortRecords(buf[start+9:])
 	}
 	return buf
 }
 
-// appendCanon encodes one line against the hierarchy registers (epoch, lc).
-// Epoch and SettledLC reduce to current/stale and settled/unsettled bits, and
-// the shadow mark to its effective (epoch-decayed) value, because that is all
-// settling and shadow reads can observe (line.go).
+// sortRecords sorts the canonLineSize-wide records of recs into ascending
+// byte order in place (insertion sort: a set holds at most a few ways).
+func sortRecords(recs []byte) {
+	const w = canonLineSize
+	var tmp [w]byte
+	for i := w; i < len(recs); i += w {
+		j := i
+		for j > 0 && bytes.Compare(recs[j-w:j], recs[i:i+w]) > 0 {
+			j -= w
+		}
+		if j == i {
+			continue
+		}
+		copy(tmp[:], recs[i:i+w])
+		copy(recs[j+w:i+w], recs[j:i])
+		copy(recs[j:j+w], tmp[:])
+	}
+}
+
+// appendCanon encodes one line against the hierarchy registers (epoch, lc)
+// as a canonLineSize-byte record. Epoch and SettledLC reduce to
+// current/stale and settled/unsettled bits, and the shadow mark to its
+// effective (epoch-decayed) value, because that is all settling and shadow
+// reads can observe (line.go).
 func (l *Line) appendCanon(buf []byte, epoch uint64, lc vid.V, lruRank int) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, l.Tag)
 	buf = append(buf, byte(l.St), byte(l.Mod), byte(l.High))

@@ -178,3 +178,71 @@ func TestCloneDropsObservers(t *testing.T) {
 		t.Fatal("clone carried observers over")
 	}
 }
+
+// TestCloneIntoOverwritesExactly: CloneInto makes its destination an exact
+// copy whatever the destination held before — more sets filled, other
+// lines, other statistics — down to the round-trippable encoding, which
+// keeps way positions, stale LRU stamps of Invalid frames, settle stamps and
+// snoop-filter bits.
+func TestCloneIntoOverwritesExactly(t *testing.T) {
+	h := buildSnapState(t)
+	dst := h.Clone()
+	mustStore(t, dst, 0, addrA+8192, 5, 0) // fills a set h leaves empty
+	mustLoad(t, dst, 1, snapAddrB, 0)
+	dst.Commit(1)
+
+	fresh := New(h.cfg)
+	for _, src := range []*Hierarchy{fresh, h} {
+		src.CloneInto(dst)
+		if !bytes.Equal(dst.AppendExact(nil), src.AppendExact(nil)) {
+			t.Fatal("CloneInto left state behind that the exact encoding sees")
+		}
+	}
+	// The copy evolves exactly as its source under the same stimuli.
+	mustStore(t, h, 0, addrA, 13, 2)
+	mustStore(t, dst, 0, addrA, 13, 2)
+	if !bytes.Equal(dst.AppendExact(nil), h.AppendExact(nil)) {
+		t.Fatal("original and CloneInto copy diverged under identical stimuli")
+	}
+}
+
+// TestCloneIntoSelfOrOtherConfigPanics: the destination must be a distinct
+// hierarchy of the same Config.
+func TestCloneIntoSelfOrOtherConfigPanics(t *testing.T) {
+	h := buildSnapState(t)
+	cfg := h.cfg
+	cfg.Cores++
+	for name, dst := range map[string]*Hierarchy{"self": h, "other config": New(cfg)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("CloneInto into %s did not panic", name)
+				}
+			}()
+			h.CloneInto(dst)
+		}()
+	}
+}
+
+// TestCloneIntoAndCanonicalDoNotAllocate: on a warm pair — a destination
+// that already holds a copy and an encoding buffer already grown — copying
+// a hierarchy and encoding the copy allocate nothing. The model checker does
+// both on every edge.
+func TestCloneIntoAndCanonicalDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-runtime shadow allocations break AllocsPerRun; contract pinned in non-race runs")
+	}
+	h := buildSnapState(t)
+	dst := h.Clone()
+	buf := h.AppendCanonical(nil, snapAddrs)
+	want := string(buf)
+	if n := testing.AllocsPerRun(100, func() {
+		h.CloneInto(dst)
+		buf = dst.AppendCanonical(buf[:0], snapAddrs)
+	}); n != 0 {
+		t.Fatalf("CloneInto + AppendCanonical made %v allocations, want 0", n)
+	}
+	if string(buf) != want {
+		t.Fatal("the copy encodes differently from its original")
+	}
+}
